@@ -127,6 +127,19 @@ class LocalCommunicationManager:
             self._gtxn_locks[key] = FifoLock(name=f"{self.site}:gtxn:{key}")
         return self._gtxn_locks[key]
 
+    def _release_gtxn_lock(self, gtxn: Optional[str], lock: FifoLock) -> None:
+        """Release a gtxn lock a handler took; drop it if nobody waits.
+
+        A lock reset by a crash while held is already free.  Dropping a
+        free lock moves no event: a later request builds a fresh one,
+        and acquiring a free lock never yields.
+        """
+        if lock.locked:
+            lock.release()
+            key = gtxn or "?"
+            if not lock.locked and self._gtxn_locks.get(key) is lock:
+                del self._gtxn_locks[key]
+
     def on_restart(self) -> Generator[Any, Any, None]:
         """Respawn the serve loop after the node came back."""
         self._serve_process = self.kernel.spawn(
@@ -200,11 +213,8 @@ class LocalCommunicationManager:
             return  # the site died mid-request; the central will time out
         finally:
             self._in_flight.discard(message.msg_id)
-            if lock is not None and lock.locked:
-                try:
-                    lock.release()
-                except RuntimeError:
-                    pass  # reset by a crash while we held it
+            if lock is not None:
+                self._release_gtxn_lock(message.gtxn_id, lock)
 
     def _reply(self, message: Message, kind: str, **payload: Any) -> None:
         if self.node.crashed:
@@ -443,11 +453,7 @@ class LocalCommunicationManager:
                     gtxn, entry["decision"], entry.get("marker_key")
                 )
             finally:
-                if lock.locked:
-                    try:
-                        lock.release()
-                    except RuntimeError:
-                        pass  # reset by a crash while we held it
+                self._release_gtxn_lock(gtxn, lock)
         self._reply(message, "finished_group", outcomes=outcomes)
 
     def _decide_one(

@@ -1,4 +1,4 @@
-"""Waits-for graph and cycle detection for the L0 lock manager."""
+"""Waits-for graph and cycle detection for the L0 and L1 lock managers."""
 
 from __future__ import annotations
 
@@ -44,31 +44,34 @@ class WaitsForGraph:
     def find_cycle_from(self, start: str) -> Optional[list[str]]:
         """Return a cycle through ``start`` if one exists, else ``None``.
 
-        Iterative DFS; deterministic because neighbours are visited in
-        sorted order.
+        Iterative DFS: one iterator over each path node's sorted
+        neighbours, so a chain of any length needs no recursion and the
+        search leaves no reference cycle behind.  Deterministic because
+        neighbours are visited in sorted order; the cycle is the path
+        from ``start`` plus ``start`` again.
         """
         adjacency = self.adjacency()
-        path: list[str] = []
-        on_path: set[str] = set()
+        path = [start]
+        on_path = {start}
         visited: set[str] = set()
-
-        def dfs(node: str) -> Optional[list[str]]:
-            path.append(node)
-            on_path.add(node)
-            for neighbour in sorted(adjacency.get(node, ())):
+        pending = [iter(sorted(adjacency.get(start, ())))]
+        while pending:
+            for neighbour in pending[-1]:
                 if neighbour == start:
-                    return path + [start]
+                    path.append(start)
+                    return path
                 if neighbour in on_path or neighbour in visited:
                     continue
-                cycle = dfs(neighbour)
-                if cycle is not None:
-                    return cycle
-            on_path.discard(node)
-            visited.add(node)
-            path.pop()
-            return None
-
-        return dfs(start)
+                path.append(neighbour)
+                on_path.add(neighbour)
+                pending.append(iter(sorted(adjacency.get(neighbour, ()))))
+                break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                visited.add(node)
+        return None
 
     def __len__(self) -> int:
         return len(self._blockers)

@@ -173,7 +173,13 @@ class LockManager:
 
         request.future = Future(label=f"lock:{self.site}:{resource}:{txn_id}")
         self.waits += 1
-        yield from self._wait(resource, request, timeout)
+        try:
+            yield from self._wait(resource, request, timeout)
+        finally:
+            # A failed wait's traceback holds this frame and hence
+            # ``request``; dropping the future breaks the cycle
+            # request -> future -> exception -> traceback -> frame.
+            request.future = None
         self.total_wait_time += self._kernel.now - request.request_time
 
     def _wait(

@@ -125,15 +125,20 @@ class SemanticLockManager:
                 )
         request.future = Future(label=f"{self.name}:{resource}:{txn_id}")
         self.waits += 1
-        if timeout is None:
-            yield request.future
-        else:
-            timer = self._kernel.timer(timeout, label="l1-lock-timeout")
-            index, _ = yield AnyOf([request.future, timer])
-            if index != 0 and not request.granted:
-                self._remove_waiter(resource, request)
-                self.timeouts += 1
-                raise LockTimeout(f"{self.name}: {txn_id} on {resource}")
+        try:
+            if timeout is None:
+                yield request.future
+            else:
+                timer = self._kernel.timer(timeout, label="l1-lock-timeout")
+                index, _ = yield AnyOf([request.future, timer])
+                if index != 0 and not request.granted:
+                    self._remove_waiter(resource, request)
+                    self.timeouts += 1
+                    raise LockTimeout(f"{self.name}: {txn_id} on {resource}")
+        finally:
+            # Break request -> future -> exception -> traceback -> frame
+            # (the frame holds ``request``) once the wait is over.
+            request.future = None
         self.total_wait_time += self._kernel.now - request.request_time
 
     def cancel_wait(self, txn_id: str, exc: BaseException) -> None:

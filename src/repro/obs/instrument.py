@@ -81,7 +81,7 @@ class Observability:
         self.spans_enabled = spans
         trace = federation.kernel.trace
         #: Number of setup trace records to skip when building spans.
-        self.trace_mark = len(trace.records)
+        self.trace_mark = len(trace)
         self._site_base = {
             site: _site_snapshot(engine)
             for site, engine in federation.engines.items()

@@ -372,13 +372,16 @@ class Kernel:
         # identical: first arm wins, later completions are ignored.
         race = Future(label="timeout-race")
 
+        # ``arm`` must not capture ``future``: a reply that never comes
+        # keeps ``arm`` in its callbacks, and future -> arm -> future
+        # would be a reference cycle only the garbage collector frees.
         def arm(completed: Future) -> None:
             if not race._done:
                 if completed._exception is not None:
                     race.fail(completed._exception)
                 else:
                     race.resolve(
-                        (0 if completed is future else 1, completed._value)
+                        (1 if completed is timer else 0, completed._value)
                     )
 
         future.add_callback(arm)

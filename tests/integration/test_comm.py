@@ -208,3 +208,45 @@ def test_prepare_before_resolve_abort(fed):
     )
     assert reply.payload["vote"] == "aborted"
     assert fed.peek("a", "t", "x") == 10
+
+
+def test_gtxn_lock_is_dropped_once_free(fed):
+    request(fed, "a", "begin_subtxn", gtxn="G1")
+    request(fed, "a", "execute_l0", gtxn="G1",
+            op=increment("t", "x", 5).routed("a", "t"), marker_key="G1:0")
+    comm = fed.comms["a"]
+    assert comm._gtxn_locks == {}
+
+
+def test_crash_fails_waiters_of_a_held_gtxn_lock(fed):
+    from repro.errors import SiteCrashed
+
+    comm = fed.comms["a"]
+
+    def slow_decide(message):
+        yield 50.0
+        comm._reply(message, "decided")
+
+    comm._handlers["decide"] = slow_decide
+    seen = {}
+
+    def decide():
+        try:
+            yield from fed.central_comm.request("a", "decide", gtxn_id="G1", timeout=20)
+        except MessageTimeout:
+            return "timeout"
+
+    def crash():
+        lock = comm._gtxn_locks["G1"]
+        seen["waiters"] = list(lock._waiters)
+        fed.nodes["a"].crash()
+
+    first = fed.kernel.spawn(decide())
+    second = fed.kernel.spawn(decide())
+    fed.kernel.call_at(10.0, crash)
+    fed.kernel.run()
+    # The first handler held the lock; the second waited for it.
+    assert len(seen["waiters"]) == 1
+    assert isinstance(seen["waiters"][0].exception, SiteCrashed)
+    assert comm._gtxn_locks == {}
+    assert first.value == second.value == "timeout"

@@ -1,5 +1,8 @@
 """Waits-for graph and cycle detection."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.localdb.deadlock import WaitsForGraph
 
 
@@ -82,3 +85,56 @@ def test_deterministic_cycle_for_same_graph():
         return graph.find_cycle_from("a")
 
     assert build() == build()
+
+
+def recursive_find_cycle(graph: WaitsForGraph, start: str):
+    """The recursive DFS ``find_cycle_from`` replaced: the reference order."""
+    adjacency = graph.adjacency()
+    path: list[str] = []
+    on_path: set[str] = set()
+    visited: set[str] = set()
+
+    def dfs(node):
+        path.append(node)
+        on_path.add(node)
+        for neighbour in sorted(adjacency.get(node, ())):
+            if neighbour == start:
+                return path + [start]
+            if neighbour in on_path or neighbour in visited:
+                continue
+            cycle = dfs(neighbour)
+            if cycle is not None:
+                return cycle
+        on_path.discard(node)
+        visited.add(node)
+        path.pop()
+        return None
+
+    return dfs(start)
+
+
+txn_names = st.sampled_from([f"T{i}" for i in range(8)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.tuples(txn_names, txn_names), max_size=30),
+    start=txn_names,
+)
+def test_iterative_search_matches_recursive_reference(edges, start):
+    graph = WaitsForGraph()
+    for index, (waiter, blocker) in enumerate(edges):
+        graph.set_blockers(f"r{index % 5}", waiter, {blocker})
+    assert graph.find_cycle_from(start) == recursive_find_cycle(graph, start)
+
+
+def test_long_wait_chain_needs_no_recursion():
+    # Closing a 3000-transaction chain back to its start used to exceed
+    # the interpreter's recursion limit.
+    graph = WaitsForGraph()
+    chain = ["start"] + [f"T{i}" for i in range(3000)]
+    for waiter, blocker in zip(chain, chain[1:] + ["start"]):
+        graph.set_blockers(f"r-{waiter}", waiter, {blocker})
+    cycle = graph.find_cycle_from("start")
+    assert cycle == chain + ["start"]
+    assert len(cycle) == 3002
