@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
 
-from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import CommitProtocol, ProtocolContext
 from repro.core.protocols.commit_before import CommitBefore
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.errors import LockTimeout
+from repro.mlt.actions import Operation
 from repro.mlt.conflicts import READ_WRITE_TABLE, ConflictTable
 from repro.mlt.locks import SemanticLockManager, _Request
 from repro.sim.events import Future
@@ -167,64 +167,43 @@ class AltruisticCommit(CommitBefore):
     name = "altruistic"
     requires_prepare = False
 
+    # Like the saga baseline it keeps the classic coordinator-side
+    # recovery paths, not commit-before's undo redrives.
+    redrive_obligations = CommitProtocol.redrive_obligations
+    on_orphan_reply = CommitProtocol.on_orphan_reply
+    adopt_orphan = CommitProtocol.adopt_orphan
+
+    def make_l1(
+        self, kernel: "Kernel", table: ConflictTable, timeout: Optional[float]
+    ) -> AltruisticLockManager:
+        return AltruisticLockManager(kernel, table, default_timeout=timeout)
+
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        locks = ctx.l1
-        assert isinstance(locks, AltruisticLockManager), (
+        assert isinstance(ctx.l1, AltruisticLockManager), (
             "altruistic protocol needs an AltruisticLockManager"
         )
-        gtxn = ctx.gtxn
-        # Last access index per object, to find donation points.
-        last_access: dict[tuple, int] = {}
-        for index, operation in enumerate(ctx.decomposition.ordered):
-            last_access[(operation.table, operation.key)] = index
+        yield from self._run_per_action(ctx)
+        ctx.l1.finish(ctx.gtxn.gtxn_id)
 
-        executed = []
-        failure: Optional[str] = None
-        try:
-            from repro.mlt.actions import inverse_of
+    def _action_done(self, ctx: ProtocolContext, index: int, operation: Operation) -> None:
+        # The donation point: the transaction's last access to the object.
+        resource = (operation.table, operation.key)
+        if all(
+            (later.table, later.key) != resource
+            for later in ctx.decomposition.ordered[index + 1:]
+        ):
+            ctx.l1.donate(ctx.gtxn.gtxn_id, resource)
 
-            for index, operation in enumerate(ctx.decomposition.ordered):
-                yield from ctx.acquire_l1(operation)
-                marker_key = f"{gtxn.gtxn_id}:{index}"
-                value, before, retries = yield from self._execute_action(
-                    ctx, operation, marker_key
-                )
-                ctx.outcome.l0_retries += retries
-                if operation.kind == "read":
-                    ctx.outcome.reads[f"{operation.table}[{operation.key!r}]"] = value
-                record = ctx.undo_log.record(
-                    gtxn.gtxn_id, operation.site, operation, inverse_of(operation, before)
-                )
-                executed.append((index, operation, record))
-                if last_access[(operation.table, operation.key)] == index:
-                    locks.donate(gtxn.gtxn_id, (operation.table, operation.key))
-        except ExecutionFailure as exc:
-            failure = str(exc)
-            ctx.outcome.retriable = exc.aborted
-        except (DeadlockDetected, LockTimeout) as exc:
-            failure = f"L1 conflict: {exc}"
-            ctx.outcome.retriable = True
-
+    def _before_decision(
+        self, ctx: ProtocolContext, failure: Optional[str]
+    ) -> Generator[Any, Any, Optional[str]]:
         # The wake rule: do not decide before every donor finished.
         try:
-            yield from locks.wait_for_wake(
-                gtxn.gtxn_id, timeout=ctx.config.msg_timeout * 20
+            yield from ctx.l1.wait_for_wake(
+                ctx.gtxn.gtxn_id, timeout=ctx.config.msg_timeout * 20
             )
         except LockTimeout as exc:
             if failure is None:
-                failure = f"L1 conflict: {exc}"
                 ctx.outcome.retriable = True
-
-        if failure is None and not ctx.intends_abort:
-            gtxn.set_decision("commit")
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-        else:
-            reason = failure or "intended abort"
-            gtxn.set_decision("abort", cause=reason)
-            gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-            yield from self._undo_actions(ctx, executed)
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = reason
-        ctx.undo_log.forget(gtxn.gtxn_id)
-        locks.finish(gtxn.gtxn_id)
+                return f"L1 conflict: {exc}"
+        return failure

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.protocols.base import ProtocolContext
+from repro.core.protocols.base import CommitProtocol, ProtocolContext
 from repro.core.protocols.commit_before import CommitBefore
 
 
@@ -23,6 +23,14 @@ class SagaCoordinator(CommitBefore):
 
     name = "saga"
     requires_prepare = False
+
+    # The baseline keeps the classic coordinator-side recovery paths
+    # (hardened decision, else presumed abort) rather than inheriting
+    # commit-before's undo redrives; a coordinator crash therefore
+    # leaves its committed steps uncompensated.
+    redrive_obligations = CommitProtocol.redrive_obligations
+    on_orphan_reply = CommitProtocol.on_orphan_reply
+    adopt_orphan = CommitProtocol.adopt_orphan
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         assert ctx.l1 is None, "sagas run without global concurrency control"

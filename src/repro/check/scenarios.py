@@ -82,8 +82,8 @@ from repro.mlt.actions import increment, write
 from repro.net.message import reset_message_ids
 
 #: The protocol matrix the regression suite sweeps, derived from the
-#: protocol registry: every ``in_check`` protocol with its natural
-#: granularity, sorted by name.
+#: protocol registry: every protocol without a ``check_opt_out``, with
+#: its natural granularity, sorted by name.
 CHECK_PROTOCOLS: list[tuple[str, str]] = check_matrix()
 
 #: Cross-cutting seeded bugs plus the registry's protocol-specific

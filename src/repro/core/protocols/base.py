@@ -4,6 +4,13 @@ A protocol receives a :class:`ProtocolContext` per global transaction
 and drives it to a :class:`~repro.core.global_txn.GlobalOutcome`.  The
 context bundles the communication manager, the L1 lock table, the
 redo/undo logs and retry/polling helpers shared by all protocols.
+
+:class:`CommitProtocol` is also the one home of everything protocol-
+specific that shared modules need: the execute-then-abort prologue,
+the cheap abort of running locals, the L1 lock manager, whether an
+acceptor group is built, and the coordinator-side recovery hooks the
+:class:`~repro.core.recovery.GlobalRecoveryManager` calls.  Shared
+modules call these hooks; they never compare a protocol name.
 """
 
 from __future__ import annotations
@@ -11,19 +18,21 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.errors import MessageTimeout, ProcessInterrupted
+from repro.core.global_txn import GlobalTxnState
+from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout, ProcessInterrupted
 from repro.mlt.actions import Operation
-from repro.mlt.conflicts import L1Mode
+from repro.mlt.conflicts import ConflictTable, L1Mode
+from repro.mlt.locks import SemanticLockManager
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.global_txn import GlobalOutcome, GlobalTransaction
     from repro.core.gtm import GlobalTransactionManager, GTMConfig
+    from repro.core.recovery import GlobalRecoveryManager
     from repro.core.redo import RedoLog
     from repro.core.undo import UndoLog
     from repro.integration.comm_central import CentralCommunicationManager
     from repro.integration.decompose import Decomposition
-    from repro.mlt.locks import SemanticLockManager
     from repro.sim.kernel import Kernel
 
 
@@ -180,6 +189,28 @@ class ProtocolContext:
                 results[key] = exc
         return results
 
+    def collect_votes(
+        self, silent_vote: str = "timeout", **payload: Any
+    ) -> Generator[Any, Any, tuple[bool, dict[str, str]]]:
+        """Phase 1: send ``prepare`` to every site and gather the votes.
+
+        Returns ``(all_ready, votes)``: the vote map names each site's
+        answer, ``silent_vote`` for a site that did not answer in time;
+        ``all_ready`` holds when every site voted ``ready`` (or
+        ``readonly``, which only a read-only-optimised request allows).
+        """
+        replies = yield from self.parallel(
+            {
+                site: self.request(site, "prepare", **payload)
+                for site in self.decomposition.sites
+            }
+        )
+        votes = {
+            site: silent_vote if isinstance(reply, Exception) else reply.payload.get("vote")
+            for site, reply in replies.items()
+        }
+        return all(vote in ("ready", "readonly") for vote in votes.values()), votes
+
     # -- subtransaction execution (shared by 2PC / after / before-per-site) ----
 
     def begin_subtransactions(self) -> Generator[Any, Any, None]:
@@ -278,10 +309,119 @@ class CommitProtocol(abc.ABC):
     name: str = "abstract"
     #: True if the local TMs must expose a ready state
     requires_prepare: bool = False
+    #: decisions are chosen by a replicated ``2F + 1`` acceptor group:
+    #: the federation builds the group, and a crashed coordinator's
+    #: transactions are taken over at a higher ballot instead of adopted
+    runs_acceptors: bool = False
 
     @abc.abstractmethod
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         """Drive ``ctx.gtxn`` to a final state, filling ``ctx.outcome``."""
+
+    def make_l1(
+        self, kernel: "Kernel", table: ConflictTable, timeout: Optional[float]
+    ) -> SemanticLockManager:
+        """The L1 lock manager over ``table`` (the GTM builds it once)."""
+        return SemanticLockManager(kernel, table, default_timeout=timeout, name="L1")
+
+    # -- the execution prologue shared by every protocol that keeps its
+    # -- locals running until the decision --------------------------------
+
+    def _execute(
+        self, ctx: ProtocolContext, **options: Any
+    ) -> Generator[Any, Any, Optional[dict[str, str]]]:
+        """Open the subtransactions and run every operation.
+
+        An execution failure, an L1 conflict or an intended abort
+        aborts the still-running locals (:meth:`_abort_running`).
+        Returns the piggybacked replies of
+        :meth:`ProtocolContext.execute_operations` (``options`` go to
+        it), or ``None`` once the transaction was aborted.
+        """
+        try:
+            yield from ctx.begin_subtransactions()
+            replies = yield from ctx.execute_operations(**options)
+        except ExecutionFailure as exc:
+            replies = yield from self._execution_failed(ctx, exc)
+            if replies is None:
+                return None
+        except (DeadlockDetected, LockTimeout) as exc:
+            ctx.outcome.retriable = True
+            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
+            return None
+        executed = yield from self._executed(ctx, replies)
+        if not executed:
+            return None
+        if ctx.intends_abort:
+            yield from self._abort_running(ctx, reason="intended abort")
+            return None
+        return replies
+
+    def _execution_failed(
+        self, ctx: ProtocolContext, exc: ExecutionFailure
+    ) -> Generator[Any, Any, Optional[dict[str, str]]]:
+        """A site could not execute: abort (retriable if its local died)."""
+        ctx.outcome.retriable = exc.aborted
+        yield from self._abort_running(ctx, reason=str(exc))
+        return None
+
+    def _executed(
+        self, ctx: ProtocolContext, replies: dict[str, str]
+    ) -> Generator[Any, Any, bool]:
+        """Every operation ran; False if this step aborted the transaction."""
+        return True
+        yield  # pragma: no cover - generator protocol
+
+    def _abort_running(
+        self,
+        ctx: ProtocolContext,
+        reason: str,
+        votes: Optional[dict[str, str]] = None,
+    ) -> Generator[Any, Any, None]:
+        """Abort while every local is still running -- the cheap path.
+
+        ``votes`` is the phase-1 vote map when the abort follows a vote
+        round; the decision was recorded with it then, so it is not
+        recorded again.
+        """
+        if votes is None:
+            ctx.gtxn.set_decision("abort", cause=reason)
+        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
+        yield from ctx.parallel(
+            {
+                site: ctx.request_until_answered(site, "decide", decision="abort")
+                for site in ctx.decomposition.sites
+            }
+        )
+        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
+        ctx.outcome.reason = reason
+
+    # -- coordinator-side recovery hooks -----------------------------------
+    # The GlobalRecoveryManager owns the mechanisms (sweeps, decision
+    # redrives, marker checks); the protocol picks the ones that apply.
+    # The defaults are the classic paths: the hardened decision, else
+    # presumed abort.
+
+    def redrive_obligations(
+        self, recovery: "GlobalRecoveryManager", site: str
+    ) -> Generator[Any, Any, None]:
+        """What a restarted ``site`` is still owed once its in-doubt
+        locals are decided (run on every recovery sweep)."""
+        return
+        yield  # pragma: no cover - generator protocol
+
+    def on_orphan_reply(self, recovery: "GlobalRecoveryManager", message: Message) -> None:
+        """A reply nobody waits for: the site may hold a live local that
+        nothing will resolve, so terminate it with the decision."""
+        recovery._terminate_orphan_reply(message)
+
+    def adopt_orphan(
+        self, recovery: "GlobalRecoveryManager", gtxn: Any
+    ) -> Generator[Any, Any, bool]:
+        """Settle one in-flight transaction of a crashed coordinator;
+        True if every participant settled."""
+        settled = yield from recovery._failover_decide(gtxn)
+        return settled
 
 
 def make_protocol(name: str) -> CommitProtocol:

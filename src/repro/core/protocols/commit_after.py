@@ -24,11 +24,11 @@ guess, reproducing the paper's two erroneous situations (EXP-A2).
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from repro.core.global_txn import GlobalTxnState
 from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout
+from repro.errors import MessageTimeout
 
 
 class CommitAfter(CommitProtocol):
@@ -38,56 +38,48 @@ class CommitAfter(CommitProtocol):
     requires_prepare = False
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
+        # Intended aborts are the strong suit of this protocol: all
+        # locals are still running, a plain abort suffices (§4.3).
+        if (yield from self._execute(ctx)) is None:
+            return
         gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        # Register every subtransaction in the redo-log *before* any
-        # decision can be sent: redo must be possible from stable
-        # central state.
-        for site, operations in ctx.decomposition.by_site.items():
-            ctx.redo_log.record(gtxn.gtxn_id, site, operations)
-
-        if ctx.intends_abort:
-            # Intended aborts are the strong suit of this protocol: all
-            # locals are still running, a plain abort suffices (§4.3).
-            yield from self._abort_running(ctx, reason="intended abort")
-            ctx.redo_log.forget(gtxn.gtxn_id)
-            return
-
         # Inquire: communication managers answer from the running state.
         gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="after")
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
+        all_ready, _votes = yield from ctx.collect_votes(force_prepare=False)
         decision = "commit" if all_ready else "abort"
         gtxn.set_decision(decision)
 
         if decision == "abort":
             ctx.outcome.retriable = True
             yield from self._abort_running(ctx, reason="participant not ready")
-            ctx.redo_log.forget(gtxn.gtxn_id)
             return
+        yield from self._commit_all(ctx)
 
-        # Commit phase: every local must reach its committed final
-        # state, repeating erroneously aborted ones (Figure 4's double
-        # arrow).  L1 locks stay held throughout.
+    def _executed(
+        self, ctx: ProtocolContext, replies: dict[str, str]
+    ) -> Generator[Any, Any, bool]:
+        # Register every subtransaction in the redo-log *before* any
+        # decision can be sent: redo must be possible from stable
+        # central state.
+        for site, operations in ctx.decomposition.by_site.items():
+            ctx.redo_log.record(ctx.gtxn.gtxn_id, site, operations)
+        return True
+        yield  # pragma: no cover - generator protocol
+
+    def _abort_running(
+        self,
+        ctx: ProtocolContext,
+        reason: str,
+        votes: Optional[dict[str, str]] = None,
+    ) -> Generator[Any, Any, None]:
+        yield from super()._abort_running(ctx, reason, votes)
+        ctx.redo_log.forget(ctx.gtxn.gtxn_id)
+
+    def _commit_all(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
+        """Commit phase: every local must reach its committed final
+        state, repeating erroneously aborted ones (Figure 4's double
+        arrow).  L1 locks stay held throughout."""
+        gtxn = ctx.gtxn
         gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
         results = yield from ctx.parallel(
             {
@@ -102,6 +94,15 @@ class CommitAfter(CommitProtocol):
         gtxn.set_state(GlobalTxnState.COMMITTED)
         ctx.outcome.committed = True
         ctx.redo_log.forget(gtxn.gtxn_id)
+
+    # -- coordinator-side recovery: the §3.2 redo obligation -------------
+
+    def redrive_obligations(self, recovery, site: str) -> Generator[Any, Any, None]:
+        yield from recovery._redrive_redos(site)
+
+    def adopt_orphan(self, recovery, gtxn: Any) -> Generator[Any, Any, bool]:
+        settled = yield from recovery._failover_decide(gtxn, redo_window=True)
+        return settled
 
     # ------------------------------------------------------------------
 
@@ -182,15 +183,3 @@ class CommitAfter(CommitProtocol):
             # double execution if the commit did land (EXP-A2).
             return "aborted"
         return status
-
-    def _abort_running(self, ctx: ProtocolContext, reason: str) -> Generator[Any, Any, None]:
-        ctx.gtxn.set_decision("abort", cause=reason)
-        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        yield from ctx.parallel(
-            {
-                site: ctx.request_until_answered(site, "decide", decision="abort")
-                for site in ctx.decomposition.sites
-            }
-        )
-        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason

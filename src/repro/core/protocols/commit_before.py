@@ -42,6 +42,26 @@ class CommitBefore(CommitProtocol):
         else:
             yield from self._run_per_site(ctx)
 
+    # -- coordinator-side recovery: locals are terminal, undo is owed ------
+
+    def redrive_obligations(self, recovery, site: str) -> Generator[Any, Any, None]:
+        if recovery.gtm.config.granularity == "per_site":
+            yield from recovery._redrive_undos(site)
+
+    def on_orphan_reply(self, recovery, message: Any) -> None:
+        """Nothing to terminate: a local answers only once it is
+        terminal, and the coordinator settles its stragglers through
+        the durable commit markers itself."""
+
+    def adopt_orphan(self, recovery, gtxn: Any) -> Generator[Any, Any, bool]:
+        """Presumed abort: unfinished locals abort, durably committed
+        effects are compensated by inverse transactions."""
+        if recovery.gtm.config.granularity == "per_action":
+            settled = yield from recovery._failover_undo_actions(gtxn)
+        else:
+            settled = yield from recovery._failover_before_site(gtxn)
+        return settled
+
     # ------------------------------------------------------------------
     # Multi-level granularity: one L0 transaction per L1 action (§4)
     # ------------------------------------------------------------------
@@ -64,12 +84,14 @@ class CommitBefore(CommitProtocol):
                     gtxn.gtxn_id, operation.site, operation, inverse_of(operation, before)
                 )
                 executed.append((index, operation, record))
+                self._action_done(ctx, index, operation)
         except ExecutionFailure as exc:
             failure = str(exc)
             ctx.outcome.retriable = exc.aborted
         except (DeadlockDetected, LockTimeout) as exc:
             failure = f"L1 conflict: {exc}"
             ctx.outcome.retriable = True
+        failure = yield from self._before_decision(ctx, failure)
 
         # Decision point: every local effect is already committed.
         if failure is None and not ctx.intends_abort:
@@ -86,6 +108,17 @@ class CommitBefore(CommitProtocol):
         gtxn.set_state(GlobalTxnState.ABORTED)
         ctx.outcome.reason = reason
         ctx.undo_log.forget(gtxn.gtxn_id)
+
+    def _action_done(self, ctx: ProtocolContext, index: int, operation: Operation) -> None:
+        """The action at ``index`` committed locally (per-action hook)."""
+
+    def _before_decision(
+        self, ctx: ProtocolContext, failure: Optional[str]
+    ) -> Generator[Any, Any, Optional[str]]:
+        """Last per-action step before the decision; returns the failure
+        reason the decision goes by (``None``: commit unless intended)."""
+        return failure
+        yield  # pragma: no cover - generator protocol
 
     def _execute_action(
         self, ctx: ProtocolContext, operation: Operation, marker_key: str
@@ -241,7 +274,7 @@ class CommitBefore(CommitProtocol):
                 site: ctx.request_until_answered(
                     site,
                     "prepare",
-                    protocol="before",
+                    final_state=True,
                     marker_key=f"{gtxn.gtxn_id}:{site}",
                     resolve=resolve,
                 )

@@ -31,12 +31,11 @@ present -> re-drive the commit, absent -> presumed abort.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from repro.core.global_txn import GlobalTxnState
 from repro.core.protocols.base import ExecutionFailure, ProtocolContext
 from repro.core.protocols.commit_after import CommitAfter
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class OnePhaseCommit(CommitAfter):
@@ -52,26 +51,38 @@ class OnePhaseCommit(CommitAfter):
     presume_commit = False
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        votes: dict[str, str] = {}
-        try:
-            yield from ctx.begin_subtransactions()
-            votes = yield from ctx.execute_operations(collect_votes=True)
-        except ExecutionFailure as exc:
-            if not (self.presume_commit and exc.aborted):
-                ctx.outcome.retriable = exc.aborted
-                yield from self._abort_running(ctx, reason=str(exc))
-                return
-            # MUTANT: a dead local never voted, but we presume it said
-            # yes and fall through to the decision below.
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
+        votes = yield from self._execute(ctx, collect_votes=True)
+        if votes is None:
             return
+        # The decision: no voting round happened and none is needed.
+        gtxn = ctx.gtxn
+        gtxn.set_decision("commit")
+        if self.presume_commit and self._missing_votes(ctx, votes):
+            # MUTANT: decide once per site and declare victory whatever
+            # comes back -- the lost subtransaction is never repeated.
+            gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
+            for site in ctx.decomposition.sites:
+                yield from ctx.decide_commit(site)
+            gtxn.set_state(GlobalTxnState.COMMITTED)
+            ctx.outcome.committed = True
+            ctx.redo_log.forget(gtxn.gtxn_id)
+            return
+        yield from self._commit_all(ctx)
 
-        missing = [
-            site for site in ctx.decomposition.sites if votes.get(site) != "ready"
-        ]
+    def _execution_failed(
+        self, ctx: ProtocolContext, exc: ExecutionFailure
+    ) -> Generator[Any, Any, Optional[dict[str, str]]]:
+        if self.presume_commit and exc.aborted:
+            # MUTANT: a dead local never voted, but we presume it said
+            # yes and fall through to the decision.
+            return {}
+        replies = yield from super()._execution_failed(ctx, exc)
+        return replies
+
+    def _executed(
+        self, ctx: ProtocolContext, votes: dict[str, str]
+    ) -> Generator[Any, Any, bool]:
+        missing = self._missing_votes(ctx, votes)
         if missing and not self.presume_commit:
             # Can only happen against a site that answered the last
             # operation without stamping the vote -- a foreign or
@@ -81,42 +92,13 @@ class OnePhaseCommit(CommitAfter):
             yield from self._abort_running(
                 ctx, reason=f"no piggybacked vote from {missing}"
             )
-            return
-
+            return False
         # Redo must be possible from stable central state before any
         # decision is sent (the §3.2 obligation, unchanged from
         # commit-after).
-        for site, operations in ctx.decomposition.by_site.items():
-            ctx.redo_log.record(gtxn.gtxn_id, site, operations)
+        recorded = yield from super()._executed(ctx, votes)
+        return recorded
 
-        if ctx.intends_abort:
-            # All locals are still running: a plain abort suffices.
-            yield from self._abort_running(ctx, reason="intended abort")
-            ctx.redo_log.forget(gtxn.gtxn_id)
-            return
-
-        # The decision: no voting round happened and none is needed.
-        gtxn.set_decision("commit")
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        if self.presume_commit and missing:
-            # MUTANT: decide once per site and declare victory whatever
-            # comes back -- the lost subtransaction is never repeated.
-            for site in ctx.decomposition.sites:
-                yield from ctx.decide_commit(site)
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-            ctx.redo_log.forget(gtxn.gtxn_id)
-            return
-        results = yield from ctx.parallel(
-            {
-                site: self._commit_site(ctx, site)
-                for site in ctx.decomposition.sites
-            }
-        )
-        for site, result in results.items():
-            if isinstance(result, Exception):
-                raise result
-            ctx.outcome.redo_executions += result
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
-        ctx.redo_log.forget(gtxn.gtxn_id)
+    @staticmethod
+    def _missing_votes(ctx: ProtocolContext, votes: dict[str, str]) -> list[str]:
+        return [site for site in ctx.decomposition.sites if votes.get(site) != "ready"]

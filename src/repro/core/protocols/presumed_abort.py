@@ -21,80 +21,47 @@ derived protocol deepens the dependency on changeable local systems.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Optional
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.two_phase import TwoPhaseCommit
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class PresumedAbort2PC(TwoPhaseCommit):
-    """2PC with presumed abort and read-only participants."""
+    """2PC with presumed abort and read-only participants.
+
+    Phase 2 reaches only the ``ready`` voters (the updaters): the 2PC
+    skeleton delivers commits to those alone, so read-only
+    participants are done after the vote.
+    """
 
     name = "2pc-pa"
     requires_prepare = True
+    #: presumed abort: a silent participant counts as a no vote
+    silent_vote = "abort"
 
-    def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_presumed(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_presumed(ctx, reason=f"L1 conflict: {exc}")
-            return
+    def _prepare_payload(self) -> dict[str, Any]:
+        return {"force_prepare": True, "allow_readonly": True}
 
-        if ctx.intends_abort:
-            yield from self._abort_presumed(ctx, reason="intended abort")
-            return
-
-        # Phase 1 with the read-only option.
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="2pc", allow_readonly=True)
-                for site in ctx.decomposition.sites
-            }
-        )
-        resolved = {
-            site: (reply.payload.get("vote") if not isinstance(reply, Exception) else "abort")
-            for site, reply in votes.items()
-        }
-        updaters = [site for site, vote in resolved.items() if vote == "ready"]
-        all_ok = all(vote in ("ready", "readonly") for vote in resolved.values())
-        decision = "commit" if all_ok else "abort"
-        gtxn.set_decision(decision, votes=resolved)
-
-        if decision == "abort":
-            ctx.outcome.retriable = True
-            yield from self._abort_presumed(
-                ctx, reason="participant voted abort", sites=updaters
-            )
-            return
-
-        # Phase 2 reaches only the updaters; read-only participants are
-        # already done.  Commit decisions share round-trips and forced
-        # writes through the group-decision pipeline when enabled.
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        if updaters:
-            yield from ctx.parallel(
-                {site: ctx.commit_until_done(site) for site in updaters}
-            )
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
-
-    def _abort_presumed(
-        self, ctx: ProtocolContext, reason: str, sites=None
+    def _abort_running(
+        self,
+        ctx: ProtocolContext,
+        reason: str,
+        votes: Optional[dict[str, str]] = None,
     ) -> Generator[Any, Any, None]:
-        """Fire-and-forget aborts: presumed abort needs no acks."""
+        """Fire-and-forget aborts: presumed abort needs no acks.
+
+        After a vote round only the updaters hear of it; a no voter
+        aborted on its own and a read-only one already committed.
+        """
         ctx.gtxn.set_decision("abort", cause=reason)
         ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        targets = ctx.decomposition.sites if sites is None else sites
+        targets = (
+            ctx.decomposition.sites
+            if votes is None
+            else [site for site, vote in votes.items() if vote == "ready"]
+        )
         for site in targets:
             ctx.comm.send(
                 site, "decide", gtxn_id=ctx.gtxn.gtxn_id,

@@ -55,6 +55,6 @@ class ShortCommit(TwoPhaseCommit):
 
     def _prepare_payload(self) -> dict[str, Any]:
         return {
-            "protocol": "short_commit",
+            "force_prepare": True,
             "short_release": "all" if self.release_all_locks else "downgrade",
         }

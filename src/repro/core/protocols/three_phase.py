@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.two_phase import TwoPhaseCommit
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class ThreePhaseCommit(TwoPhaseCommit):
@@ -26,65 +24,18 @@ class ThreePhaseCommit(TwoPhaseCommit):
     name = "3pc"
     requires_prepare = True
 
-    def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-        if ctx.intends_abort:
-            yield from self._abort_running(ctx, reason="intended abort")
-            return
-
-        # Phase 1: can-commit?
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="2pc")
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
-        if not all_ready:
-            gtxn.set_decision("abort")
-            gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
+    def _decide(
+        self, ctx: ProtocolContext, all_ready: bool, votes: dict[str, str]
+    ) -> Generator[Any, Any, str]:
+        if all_ready:
+            # Phase 2: pre-commit -- the round that buys nonblocking-ness.
+            # Phase 3, the do-commit, is the 2PC commit delivery.
             yield from ctx.parallel(
                 {
-                    site: ctx.request_until_answered(site, "decide", decision="abort")
+                    site: ctx.request_until_answered(site, "pre_commit")
                     for site in ctx.decomposition.sites
                 }
             )
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = "participant voted abort"
-            ctx.outcome.retriable = True
-            return
-
-        # Phase 2: pre-commit -- the round that buys nonblocking-ness.
-        yield from ctx.parallel(
-            {
-                site: ctx.request_until_answered(site, "pre_commit")
-                for site in ctx.decomposition.sites
-            }
-        )
-        gtxn.set_decision("commit")
-
-        # Phase 3: do-commit (grouped/pipelined like the 2PC phase 2).
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        yield from ctx.parallel(
-            {
-                site: ctx.commit_until_done(site)
-                for site in ctx.decomposition.sites
-            }
-        )
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
+        decision = "commit" if all_ready else "abort"
+        ctx.gtxn.set_decision(decision)
+        return decision

@@ -16,98 +16,72 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.core.protocols.base import CommitProtocol, ProtocolContext
 
 
 class TwoPhaseCommit(CommitProtocol):
-    """Classic presumed-nothing 2PC over prepared local transactions."""
+    """Classic presumed-nothing 2PC over prepared local transactions.
+
+    The skeleton every vote-then-decide protocol shares: Paxos Commit,
+    3PC, presumed abort and Short-Commit subclass it and override one
+    step each -- the decide step, the commit delivery, the prepare
+    payload or the abort broadcast.
+    """
 
     name = "2pc"
     requires_prepare = True
+    #: how the vote map records a site that did not answer the prepare
+    silent_vote = "timeout"
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
+        if (yield from self._execute(ctx)) is None:
+            return
         gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        if ctx.intends_abort:
-            yield from self._abort_running(ctx, reason="intended abort")
-            return
-
         # Phase 1: prepare (locals enter the ready state).
         gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", **self._prepare_payload())
-                for site in ctx.decomposition.sites
-            }
+        all_ready, votes = yield from ctx.collect_votes(
+            self.silent_vote, **self._prepare_payload()
         )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
-
         # Decision -- made while locals sit in the ready state.
-        decision = "commit" if all_ready else "abort"
-        gtxn.set_decision(decision, votes={
-            site: ("timeout" if isinstance(r, Exception) else r.payload.get("vote"))
-            for site, r in votes.items()
-        })
-
-        # Phase 2: the decision reaches every participant, surviving
-        # participant crashes (recovery reinstates in-doubt locals).
-        # Commit decisions are hardened at the central decision log and
-        # routed through the group-decision pipeline when enabled.
-        gtxn.set_state(
-            GlobalTxnState.WAITING_TO_COMMIT
-            if decision == "commit"
-            else GlobalTxnState.WAITING_TO_ABORT
-        )
-        if decision == "commit":
-            yield from ctx.parallel(
-                {
-                    site: ctx.commit_until_done(site)
-                    for site in ctx.decomposition.sites
-                }
-            )
-        else:
-            yield from ctx.parallel(
-                {
-                    site: ctx.request_until_answered(site, "decide", decision=decision)
-                    for site in ctx.decomposition.sites
-                }
-            )
-        if decision == "commit":
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-        else:
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = "participant voted abort"
+        decision = yield from self._decide(ctx, all_ready, votes)
+        if decision != "commit":
             ctx.outcome.retriable = True
-
-    def _prepare_payload(self) -> dict[str, Any]:
-        """Payload of the phase-1 vote request (subclass hook)."""
-        return {"protocol": "2pc"}
-
-    def _abort_running(self, ctx: ProtocolContext, reason: str) -> Generator[Any, Any, None]:
-        """Abort while every local is still running -- the cheap path."""
-        ctx.gtxn.set_decision("abort", cause=reason)
-        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
+            yield from self._abort_running(
+                ctx,
+                # Only a replicated decision can overturn an all-ready vote.
+                "participant voted abort" if not all_ready else "takeover chose abort",
+                votes,
+            )
+            return
+        # Phase 2: the decision reaches every participant that prepared,
+        # surviving participant crashes (recovery reinstates in-doubt
+        # locals).  Commit decisions are hardened at the central
+        # decision log and routed through the group-decision pipeline
+        # when enabled.
+        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
         yield from ctx.parallel(
             {
-                site: ctx.request_until_answered(site, "decide", decision="abort")
-                for site in ctx.decomposition.sites
+                site: self._deliver_commit(ctx, site)
+                for site, vote in votes.items()
+                if vote == "ready"
             }
         )
-        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason
+        gtxn.set_state(GlobalTxnState.COMMITTED)
+        ctx.outcome.committed = True
+
+    def _prepare_payload(self) -> dict[str, Any]:
+        """What the vote request asks of a site: a forced prepare."""
+        return {"force_prepare": True}
+
+    def _decide(
+        self, ctx: ProtocolContext, all_ready: bool, votes: dict[str, str]
+    ) -> Generator[Any, Any, str]:
+        """Make and record the decision from the phase-1 votes."""
+        decision = "commit" if all_ready else "abort"
+        ctx.gtxn.set_decision(decision, votes=votes)
+        return decision
+        yield  # pragma: no cover - generator protocol
+
+    def _deliver_commit(self, ctx: ProtocolContext, site: str) -> Generator[Any, Any, str]:
+        """Deliver the commit decision to one site, waiting out crashes."""
+        return ctx.commit_until_done(site)

@@ -20,6 +20,12 @@ protocol semantics:
   the durable commit marker confirms the forward subtransaction really
   committed there.
 
+Which of these paths a protocol takes is the protocol's own decision:
+the manager owns the mechanisms and calls the protocol's hooks
+(:meth:`~repro.core.protocols.base.CommitProtocol.redrive_obligations`,
+:meth:`~repro.core.protocols.base.CommitProtocol.on_orphan_reply`,
+:meth:`~repro.core.protocols.base.CommitProtocol.adopt_orphan`).
+
 Transactions whose coordinator process is still running are left alone:
 the coordinator's own retry machinery (status polls, redo loops,
 ``commit_until_done``) resolves them as soon as the site answers again.
@@ -33,7 +39,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.core.protocols import redo_window_protocols
 from repro.errors import MessageTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,10 +96,7 @@ class GlobalRecoveryManager:
             if self.gtm.crashed:
                 return  # this coordinator died; a peer's pass takes over
             unresolved = yield from self._resolve_in_doubt(site)
-            if config.protocol in redo_window_protocols():
-                yield from self._redrive_redos(site)
-            if config.protocol == "before" and config.granularity == "per_site":
-                yield from self._redrive_undos(site)
+            yield from self.gtm.protocol.redrive_obligations(self, site)
             if not unresolved:
                 return
             yield config.status_poll_interval
@@ -149,11 +151,9 @@ class GlobalRecoveryManager:
         If the answered transaction is no longer active, the site may
         be holding a subtransaction (with its locks) that nothing will
         ever resolve: the coordinator sent its decision *before* this
-        straggler arrived.  Terminate it with the hardened decision --
-        or presumed abort -- exactly as a restart-time recovery pass
-        would.  Not applicable to commit-before, whose locals are
-        already terminal when they answer; its stragglers are settled
-        through durable markers by the coordinator itself.
+        straggler arrived.  Whether that needs terminating is the
+        protocol's call (:meth:`CommitProtocol.on_orphan_reply
+        <repro.core.protocols.base.CommitProtocol.on_orphan_reply>`).
         """
         gtxn_id = message.gtxn_id
         if not gtxn_id or self.gtm.is_active(gtxn_id) or self.gtm.crashed:
@@ -164,8 +164,13 @@ class GlobalRecoveryManager:
             # broadcast already covers the site.  Ghost deliveries that
             # outlive the whole attempt exist only on reliable links.
             return
-        if self.gtm.config.protocol == "before":
-            return
+        self.gtm.protocol.on_orphan_reply(self, message)
+
+    def _terminate_orphan_reply(self, message: Any) -> None:
+        """Terminate the straggler's transaction at its sender with the
+        hardened decision -- or presumed abort -- exactly as a
+        restart-time recovery pass would."""
+        gtxn_id = message.gtxn_id
         if message.kind in self._STATE_FREE_KINDS:
             return
         key = (gtxn_id, message.sender)
@@ -403,9 +408,11 @@ class GlobalRecoveryManager:
 
         ``orphans`` maps attempt ids to their
         :class:`~repro.core.global_txn.GlobalTransaction` objects,
-        captured by the pool at crash time.  Resolution follows the
-        same per-protocol rules as a site restart, read from the
-        *shared* central logs:
+        captured by the pool at crash time.  Each is settled by the
+        protocol's :meth:`adopt_orphan
+        <repro.core.protocols.base.CommitProtocol.adopt_orphan>` hook,
+        which follows the same per-protocol rules as a site restart,
+        read from the *shared* central logs:
 
         * 2PC / presumed abort / 3PC -- a hardened commit record is
           re-driven to every participant; without one, presumed abort.
@@ -425,7 +432,6 @@ class GlobalRecoveryManager:
         if not orphans:
             return
         self.failovers += 1
-        config = self.gtm.config
         self.gtm.kernel.trace.emit(
             "failover", self.gtm.name, self.gtm.name, orphans=len(orphans)
         )
@@ -437,14 +443,7 @@ class GlobalRecoveryManager:
             if self.gtm.crashed:
                 return  # the pool re-adopts whatever is left
             gtxn_id = min(orphans)
-            gtxn = orphans[gtxn_id]
-            if config.protocol == "before":
-                if config.granularity == "per_action":
-                    resolved = yield from self._failover_undo_actions(gtxn)
-                else:
-                    resolved = yield from self._failover_before_site(gtxn)
-            else:
-                resolved = yield from self._failover_decide(gtxn)
+            resolved = yield from self.gtm.protocol.adopt_orphan(self, orphans[gtxn_id])
             # Even a partially-settled orphan is popped: every leftover
             # local is in-doubt at a *crashed* site, and that site's
             # restart recovery resolves it from the same shared logs.
@@ -488,11 +487,18 @@ class GlobalRecoveryManager:
             self.failover_resolved += 1
         return settled_all
 
-    def _failover_decide(self, gtxn: Any) -> Generator[Any, Any, bool]:
-        """Redrive the hardened decision (or presumed abort) everywhere."""
-        config = self.gtm.config
+    def _failover_decide(
+        self, gtxn: Any, redo_window: bool = False
+    ) -> Generator[Any, Any, bool]:
+        """Redrive the hardened decision (or presumed abort) everywhere.
+
+        ``redo_window``: the protocol's locals wait for the decision in
+        the running state, so a hardened commit also owes the §3.2
+        redo obligations and the redo-log entry is forgotten once
+        every site settled.
+        """
         decision = self.gtm.decision_log.decision_for(gtxn.gtxn_id) or "abort"
-        redo = config.protocol in redo_window_protocols() and decision == "commit"
+        redo = redo_window and decision == "commit"
         settled_all = True
         for site in gtxn.sites():
             self.gtm.kernel.trace.emit(
@@ -510,7 +516,7 @@ class GlobalRecoveryManager:
             # entry with a hardened commit: the §3.2 obligation.
             for site in gtxn.sites():
                 yield from self._redrive_redos(site, adopting=gtxn.gtxn_id)
-        if settled_all and config.protocol in redo_window_protocols():
+        if settled_all and redo_window:
             self.gtm.redo_log.forget(gtxn.gtxn_id)
         return settled_all
 

@@ -46,7 +46,8 @@ from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
 
 #: The protocol matrix every chaos seed is swept across, derived from
-#: the protocol registry (every ``in_chaos`` protocol, sorted by name).
+#: the protocol registry (every protocol without a ``chaos_opt_out``,
+#: sorted by name).
 CHAOS_PROTOCOLS: list[tuple[str, str]] = chaos_matrix_protocols()
 
 #: Initial balance of every account; the invariant is that the global

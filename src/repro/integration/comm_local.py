@@ -95,7 +95,9 @@ class LocalCommunicationManager:
         self.dataplane = None
         # Hooks fired after this manager votes "ready" -- the window in
         # which the paper's erroneous aborts happen; the fault injector
-        # subscribes here.  Each hook receives (gtxn_id, txn_id, protocol).
+        # subscribes here.  Each hook receives (gtxn_id, txn_id, forced):
+        # ``forced`` is True when the vote followed a forced prepare, so
+        # the local sits in the READY state instead of running on.
         self.on_ready_voted: list = []
 
     @property
@@ -294,7 +296,7 @@ class LocalCommunicationManager:
             # the §3.2 erroneous-abort window opens here.
             self._reply(message, "op_done", value=value, before=before, vote="ready")
             for hook in self.on_ready_voted:
-                hook(gtxn, txn_id, "one_phase")
+                hook(gtxn, txn_id, False)
             return
         if finish_marker is None:
             self._reply(message, "op_done", value=value, before=before)
@@ -323,22 +325,26 @@ class LocalCommunicationManager:
         return "committed"
 
     def _on_prepare(self, message: Message) -> Generator[Any, Any, None]:
-        """Vote request.
+        """Vote request.  The payload says what the site must do:
 
-        * ``protocol == "2pc"``: drive the modified TM into the ready
-          state (forces the log).  Raises if the interface is standard
-          -- the paper's central impossibility.
-        * ``protocol == "short_commit"``: like 2PC, then immediately
-          release read locks and downgrade write locks -- the
-          Short-Commit early release at commit-phase start.
-        * ``protocol == "after"``: answer immediately after the last
-          action; the local transaction stays *running* (§3.2), so an
+        * ``final_state``: report the local's final state instead of
+          voting (the commit-before inquiry, with ``marker_key`` and
+          ``resolve``; see :meth:`_prepare_final_state`).
+        * ``force_prepare``: drive the modified TM into the ready state
+          (forces the log).  Raises if the interface is standard -- the
+          paper's central impossibility.  Without it the site answers
+          right away and the local stays *running* (§3.2), so an
           autonomous abort can still hit it later.
+        * ``allow_readonly``: a site that wrote nothing commits now and
+          votes ``readonly`` instead of preparing.
+        * ``short_release`` (``"downgrade"`` | ``"all"``): once
+          prepared, release read locks and downgrade (or release) write
+          locks -- the Short-Commit early release at commit-phase start.
         """
         gtxn = message.gtxn_id
-        protocol = message.payload.get("protocol", "2pc")
-        if protocol == "before":
-            yield from self._prepare_before(message)
+        payload = message.payload
+        if payload.get("final_state"):
+            yield from self._prepare_final_state(message)
             return
         txn_id = self._subtxns.get(gtxn or "")
         if txn_id is None:
@@ -348,8 +354,9 @@ class LocalCommunicationManager:
         if status is not LocalTxnState.RUNNING:
             self._reply(message, "vote", vote="abort", reason=f"state={status}")
             return
-        if protocol in ("2pc", "paxos", "short_commit"):
-            if message.payload.get("allow_readonly"):
+        forced = bool(payload.get("force_prepare"))
+        if forced:
+            if payload.get("allow_readonly"):
                 # Read-only optimization ([ML 83]): a participant that
                 # wrote nothing commits right away and drops out of
                 # phase 2 -- no prepare force, no decision message.
@@ -367,19 +374,19 @@ class LocalCommunicationManager:
             except TransactionAborted as exc:
                 self._reply(message, "vote", vote="abort", reason=str(exc.reason))
                 return
-            if protocol == "short_commit":
+            short_release = payload.get("short_release")
+            if short_release:
                 # Entering the commit phase: read locks go, write locks
                 # drop to shared (exposing the prepared values to
                 # readers under the engine's cascade guard).
                 self.interface.short_release(
-                    txn_id,
-                    downgrade=message.payload.get("short_release") != "all",
+                    txn_id, downgrade=short_release != "all"
                 )
         self._reply(message, "vote", vote="ready")
         for hook in self.on_ready_voted:
-            hook(gtxn, txn_id, protocol)
+            hook(gtxn, txn_id, forced)
 
-    def _prepare_before(self, message: Message) -> Generator[Any, Any, None]:
+    def _prepare_final_state(self, message: Message) -> Generator[Any, Any, None]:
         """Final-state inquiry of the commit-before protocol (§3.3).
 
         Locals committed (or aborted) on their own; the answer reports

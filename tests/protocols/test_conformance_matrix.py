@@ -62,10 +62,10 @@ def test_no_consumer_list_misses_a_protocol():
     assert CHECK_PROTOCOLS == check_matrix()
     assert CHAOS_PROTOCOLS == chaos_matrix_protocols()
     assert {name for name, _g in CHECK_PROTOCOLS} == {
-        info.name for info in PROTOCOL_REGISTRY.values() if info.in_check
+        info.name for info in PROTOCOL_REGISTRY.values() if not info.check_opt_out
     }
     assert {name for name, _g in CHAOS_PROTOCOLS} == {
-        info.name for info in PROTOCOL_REGISTRY.values() if info.in_chaos
+        info.name for info in PROTOCOL_REGISTRY.values() if not info.chaos_opt_out
     }
     # Every registry-declared mutant is a valid ``repro.check --mutant``.
     for mutant, target in protocol_mutants().items():
@@ -73,6 +73,17 @@ def test_no_consumer_list_misses_a_protocol():
         assert target in PROTOCOL_REGISTRY
         CheckSpec(protocol=target, granularity=protocol_info(target).granularity,
                   mutant=mutant)  # must validate
+
+
+def test_every_opt_out_records_a_reason():
+    """A protocol may skip a harness only if the registry says why."""
+    checked = {name for name, _g in CHECK_PROTOCOLS}
+    chaosed = {name for name, _g in CHAOS_PROTOCOLS}
+    for info in PROTOCOL_REGISTRY.values():
+        if info.name not in checked:
+            assert info.check_opt_out.strip(), f"{info.name}: check opt-out without reason"
+        if info.name not in chaosed:
+            assert info.chaos_opt_out.strip(), f"{info.name}: chaos opt-out without reason"
 
 
 def test_registry_mutants_reject_wrong_protocol():
