@@ -1,13 +1,16 @@
-"""Golden byte-identity for the pre-adaptive batching paths.
+"""Golden byte-identity for the batching paths.
 
-The adaptive controller must be pure opt-in.  Two guarantees:
+The adaptive controller must be pure opt-in.  Three guarantees:
 
 * spelling out the defaults (``batch_policy="static"``,
   ``batch_max_msgs=0``, same for the decision pipeline) produces a
   bit-for-bit identical execution to leaving them unset, at any batch
   window;
 * the static batched execution itself is pinned, so a later change to
-  the adaptive machinery cannot silently perturb the static path.
+  the adaptive machinery cannot silently perturb the static path;
+* the adaptive size-or-deadline path is pinned too, on its own and
+  with a site crash inside a batch window (the outbox purge), so a
+  refactor of the flush machinery cannot move a scheduled deadline.
 """
 
 from __future__ import annotations
@@ -31,8 +34,23 @@ GOLDEN_STATIC = {
     2.0: "bcac4f72f875e8a2cabf86f6fde546bc7d0ab35b74b201c1047ce98accfcaafb",
 }
 
+#: Pinned before the network outboxes and the decision pipeline shared
+#: one flush implementation: adaptive policy, size trigger 4 on both
+#: layers, window 2.0; ``"site crash"`` crashes s1 at 10.5 (two
+#: messages sit in its outboxes) and restarts it at 40.5.
+GOLDEN_ADAPTIVE = {
+    "no crash": "026c3e09e2810ddb8c984b057b9774f791eedc54e8773783ee62bfe9ca9429a6",
+    "site crash": "eac9b56aa768b0b059c43993e5a1be2f92c3f6986f694be033c4bff1e7e9c923",
+}
+ADAPTIVE_CRASHES = {"no crash": None, "site crash": ("s1", 10.5, 40.5)}
 
-def fingerprint(window: float, **extra) -> str:
+
+def fingerprint(
+    window: float,
+    gtm_extra: dict | None = None,
+    crash: tuple[str, float, float] | None = None,
+    **extra,
+) -> str:
     reset_message_ids()
     specs = [
         SiteSpec(
@@ -48,11 +66,16 @@ def fingerprint(window: float, **extra) -> str:
             seed=11,
             batch_window=window,
             gtm=GTMConfig(
-                protocol="2pc", granularity="per_site", pipeline_window=window
+                protocol="2pc", granularity="per_site", pipeline_window=window,
+                **(gtm_extra or {}),
             ),
             **extra,
         ),
     )
+    if crash is not None:
+        site, crash_at, restart_at = crash
+        fed.crash_site(site, at=crash_at)
+        fed.restart_site(site, at=restart_at)
     batches = [
         {
             "operations": [
@@ -95,4 +118,19 @@ def test_static_batched_path_is_pinned(window):
     assert fingerprint(window) == GOLDEN_STATIC[window], (
         f"window={window}: the static batched execution drifted from "
         "the fingerprint pinned when the adaptive policy landed"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ADAPTIVE))
+def test_adaptive_batched_path_is_pinned(case):
+    digest = fingerprint(
+        2.0,
+        gtm_extra={"pipeline_policy": "adaptive", "pipeline_max_group": 4},
+        crash=ADAPTIVE_CRASHES[case],
+        batch_policy="adaptive",
+        batch_max_msgs=4,
+    )
+    assert digest == GOLDEN_ADAPTIVE[case], (
+        f"{case}: the adaptive batched execution drifted from its "
+        "pinned fingerprint"
     )
