@@ -352,28 +352,24 @@ class CoordinatorPool:
     def metrics(self) -> dict[str, Any]:
         """Pool-wide counters, shaped like one GTM's :meth:`metrics`.
 
-        Per-coordinator counters are summed; the L1 and decision-log
-        figures come from shard 0 because those components are shared
-        (summing them would double-count).  With one coordinator this
-        is exactly that coordinator's own metrics.
+        Every per-coordinator counter is summed, except the L1 and
+        decision-log figures, which come from shard 0 because those
+        components are shared (summing them would double-count), and
+        the mean response time, recomputed over every shard's commits.
+        With one coordinator this is exactly that coordinator's own
+        metrics.
         """
         if len(self.coordinators) == 1:
             return self.coordinators[0].metrics()
         per_shard = [gtm.metrics() for gtm in self.coordinators]
-        summed = (
-            "global_committed", "global_aborted",
-            "redo_executions", "undo_executions",
-            "decision_groups", "decisions_grouped",
-            "recovery_passes", "recovery_resolved_indoubt",
-            "recovery_redriven_redos", "recovery_redriven_undos",
-            "recovery_orphans_terminated",
-        )
-        merged: dict[str, Any] = {key: sum(m[key] for m in per_shard) for key in summed}
-        for key in (
-            "l1_waits", "l1_wait_time", "l1_hold_time", "l1_deadlocks",
-            "decision_forces",
-        ):
-            merged[key] = per_shard[0][key]
+        merged: dict[str, Any] = {
+            key: (
+                value
+                if key.startswith("l1_") or key == "decision_forces"
+                else sum(m[key] for m in per_shard)
+            )
+            for key, value in per_shard[0].items()
+        }
         committed = [o for o in self.outcomes() if o.committed]
         merged["mean_response_time"] = (
             sum(o.response_time for o in committed) / len(committed)

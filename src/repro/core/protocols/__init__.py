@@ -82,11 +82,6 @@ _SAGA_OPT_OUT = (
     "no global serializability by design, and every checked or chaos run "
     "audits it (chaos seeds 3 and 7 commit a conflict cycle)"
 )
-_ALTRUISTIC_OPT_OUT = (
-    "coordinator failover takes the classic presumed-abort path, which "
-    "never compensates committed per-action locals (sharded chaos seed 5 "
-    "loses money)"
-)
 
 #: Registry order is the paper-narrative order (it drives the demo and
 #: ``__main__.PROTOCOLS``); derived matrices sort by name.
@@ -136,7 +131,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolInfo] = {
             "altruistic locking baseline over per-action locals",
             requires_prepare=False, granularity="per_action",
             l1_table="read_write", per_action=True,
-            check_opt_out=_ALTRUISTIC_OPT_OUT, chaos_opt_out=_ALTRUISTIC_OPT_OUT,
         ),
         ProtocolInfo(
             "one_phase", "repro.core.protocols.one_phase", "OnePhaseCommit",

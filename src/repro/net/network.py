@@ -15,16 +15,12 @@ accounting stays honest; ``piggybacked`` counts the logical messages
 that rode along in an envelope after the first.  ``batch_window = 0``
 (the default) takes exactly the unbatched path of the seed system.
 
-The flush policy is *size-or-deadline*: an outbox reaching
-``batch_max_msgs`` logical messages flushes immediately instead of
-waiting out the window (``batch_max_msgs = 0`` disables the size
-trigger, the seed behaviour).  With ``batch_policy="adaptive"`` the
-deadline itself is load-sensed: an
-:class:`~repro.net.adaptive.AdaptiveWindow` shrinks the window when
-flushed batches report rising total queueing delay (a burst) and
-re-widens it toward ``batch_window`` at quiescence.
-``batch_policy="static"`` (the default) keeps the fixed-delay flush of
-PR 1 byte-identical.
+The outboxes are one :class:`~repro.net.batcher.Batcher` keyed by
+link: an outbox reaching ``batch_max_msgs`` logical messages flushes
+immediately instead of waiting out the window (``0`` disables the size
+trigger), and ``batch_policy="adaptive"`` makes the deadline
+load-sensed.  ``batch_policy="static"`` (the default) keeps the
+fixed-delay flush.
 
 A node crash purges its sender-side outboxes: buffered logical
 messages die with the crashed sender (its batching state is volatile,
@@ -56,7 +52,7 @@ import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NodeUnreachable, TopologyViolation
-from repro.net.adaptive import AdaptiveWindow
+from repro.net.batcher import Batcher
 from repro.net.message import BatchMessage, Message
 from repro.net.node import Node
 
@@ -108,12 +104,7 @@ class Network:
         max_retransmits: int = 12,
         max_retransmit_delay: float = 300.0,
     ):
-        if batch_window < 0:
-            raise ValueError(f"negative batch window {batch_window}")
-        if batch_policy not in ("static", "adaptive"):
-            raise ValueError(f"unknown batch policy {batch_policy!r}")
-        if batch_max_msgs < 0:
-            raise ValueError(f"negative batch_max_msgs {batch_max_msgs}")
+        Batcher.validate("batch", batch_window, batch_policy, batch_max_msgs)
         for name, rate in (("dup_rate", dup_rate), ("reorder_rate", reorder_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} {rate} outside [0, 1]")
@@ -121,15 +112,14 @@ class Network:
         self.latency = latency or FixedLatency(1.0)
         self.loss_rate = loss_rate
         self.enforce_star = enforce_star
-        self.batch_window = batch_window
-        self.batch_policy = batch_policy
-        self.batch_max_msgs = batch_max_msgs
-        # The load-sensed controller exists only on the adaptive
-        # policy; ``None`` keeps the static path byte-identical (no
-        # enqueue-time bookkeeping, deadline always ``batch_window``).
-        self.batch_controller: Optional[AdaptiveWindow] = (
-            AdaptiveWindow(batch_window)
-            if batch_policy == "adaptive" and batch_window > 0
+        # Per-link outboxes, keyed by (sender, dest); ``None`` with
+        # batching off keeps the seed's unbatched path.
+        self.batcher: Optional[Batcher] = (
+            Batcher(
+                kernel, batch_window, self._send_batch,
+                policy=batch_policy, max_size=batch_max_msgs,
+            )
+            if batch_window > 0
             else None
         )
         self.dup_rate = dup_rate
@@ -142,14 +132,6 @@ class Network:
         self.max_retransmit_delay = max_retransmit_delay
         self._nodes: dict[str, Node] = {}
         self._rng = kernel.rng.stream("network")
-        # Per-link outboxes for the batching path: (sender, dest) ->
-        # queued logical messages, plus a generation counter that
-        # invalidates stale scheduled flushes after an explicit flush.
-        self._outboxes: dict[tuple[str, str], list[Message]] = {}
-        self._outbox_gen: dict[tuple[str, str], int] = {}
-        # Enqueue timestamps (adaptive policy only): parallel to
-        # ``_outboxes``, feeds the controller's total-wait signal.
-        self._outbox_times: dict[tuple[str, str], list[float]] = {}
         # Deterministic fault hook: message kinds to drop exactly once
         # (used by the fault injector to lose a specific reply).
         self.drop_once: set[str] = set()
@@ -191,10 +173,6 @@ class Network:
         self.reordered = 0
         self.acks_sent = 0
         self.abandoned_messages = 0
-        # Batching-policy metrics: flush triggers and crash purges.
-        self.size_flushes = 0
-        self.deadline_flushes = 0
-        self.purged_batched = 0
 
     # -- membership -----------------------------------------------------------
 
@@ -261,65 +239,21 @@ class Network:
                 dest=message.dest, cause="injected",
             )
             return
-        if self.batch_window > 0:
-            self._enqueue(message)
+        if self.batcher is not None:
+            self.batcher.add((message.sender, message.dest), message)
             return
         self._transmit(message.sender, message.dest, (message,))
 
     # -- batching --------------------------------------------------------------
 
-    def _enqueue(self, message: Message) -> None:
-        key = (message.sender, message.dest)
-        queue = self._outboxes.setdefault(key, [])
-        queue.append(message)
-        controller = self.batch_controller
-        if controller is not None:
-            self._outbox_times.setdefault(key, []).append(self.kernel.now)
-        if self.batch_max_msgs and len(queue) >= self.batch_max_msgs:
-            # Size trigger: a full envelope has nothing to gain from
-            # waiting out the deadline.
-            self.size_flushes += 1
-            self._flush_link(key)
-            return
-        if len(queue) == 1:
-            generation = self._outbox_gen.get(key, 0)
-            window = (
-                controller.current if controller is not None else self.batch_window
-            )
-            self.kernel._schedule(window, self._flush, key, generation)
-
-    def _flush(self, key: tuple[str, str], generation: int) -> None:
-        if self._outbox_gen.get(key, 0) != generation:
-            return  # flushed explicitly in the meantime
-        if self._outboxes.get(key):
-            self.deadline_flushes += 1
-        self._flush_link(key)
-
-    def _flush_link(self, key: tuple[str, str]) -> None:
-        queue = self._outboxes.get(key)
-        if not queue:
-            return
-        self._outboxes[key] = []
-        self._outbox_gen[key] = self._outbox_gen.get(key, 0) + 1
-        controller = self.batch_controller
-        if controller is not None:
-            times = self._outbox_times.get(key)
-            if times:
-                now = self.kernel.now
-                controller.observe(sum(now - t for t in times))
-                self._outbox_times[key] = []
+    def _send_batch(self, key: tuple[str, str], queue: list[Message]) -> None:
+        """The batcher's flush: one envelope for the link's outbox."""
         sender, dest = key
         src = self._nodes.get(sender)
         if src is None or src.crashed:
             # The sender died while the envelope sat in its outbox.
             self.dropped += len(queue)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in queue:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
+            self._trace_drops(queue, "sender down")
             return
         envelope = BatchMessage(sender=sender, dest=dest, messages=tuple(queue))
         trace = self.kernel.trace
@@ -333,14 +267,14 @@ class Network:
 
     def flush(self) -> None:
         """Force every pending outbox onto the wire immediately."""
-        for key in list(self._outboxes):
-            self._flush_link(key)
+        if self.batcher is not None:
+            self.batcher.flush_all()
 
     def _purge_outboxes(self, name: str) -> None:
         """Drop outboxes buffered at ``name``; it just crashed.
 
         Without this, a crash-then-restart inside one batch window left
-        the ``(key, generation)`` guard satisfied: the scheduled flush
+        the deadline's generation guard satisfied: the scheduled flush
         fired against a now-healthy sender and transmitted messages
         that were buffered *before* the crash -- state that should have
         died with it (the reliable path's ``_attempt_xmit`` already
@@ -350,27 +284,30 @@ class Network:
         path retransmits them across the outage and the unreliable path
         drops them at delivery exactly as the seed did.
         """
+        if self.batcher is None:
+            return
+        dropped = self.batcher.drop(lambda key: key[0] == name)
+        self.dropped += len(dropped)
+        self._trace_drops(dropped, "sender down")
+
+    def _trace_drops(self, messages, cause: str) -> None:
         trace = self.kernel.trace
-        for key, queue in self._outboxes.items():
-            if key[0] != name or not queue:
-                continue
-            self._outboxes[key] = []
-            self._outbox_gen[key] = self._outbox_gen.get(key, 0) + 1
-            if self._outbox_times.get(key):
-                self._outbox_times[key] = []
-            self.dropped += len(queue)
-            self.purged_batched += len(queue)
-            if trace.enabled:
-                for message in queue:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
+        if trace.enabled:
+            for message in messages:
+                trace.emit(
+                    "message_drop", message.sender, message.kind,
+                    dest=message.dest, cause=cause,
+                )
 
     @property
     def pending_batched(self) -> int:
         """Logical messages currently waiting in outboxes."""
-        return sum(len(q) for q in self._outboxes.values())
+        return self.batcher.pending if self.batcher is not None else 0
+
+    @property
+    def purged_batched(self) -> int:
+        """Logical messages that died in a crashed sender's outbox."""
+        return self.batcher.dropped if self.batcher is not None else 0
 
     # -- partitions ------------------------------------------------------------
 
@@ -428,13 +365,7 @@ class Network:
         if self._partitioned and frozenset((sender, dest)) in self._partitioned:
             self.partition_blocked += 1
             self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="partition",
-                    )
+            self._trace_drops(messages, "partition")
             return
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self.dropped += len(messages)
@@ -473,13 +404,7 @@ class Network:
             # The sender died: its retransmission state is volatile.
             del self._pending_xmits[xid]
             self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
+            self._trace_drops(messages, "sender down")
             return
         blocked = (
             bool(self._partitioned) and frozenset((sender, dest)) in self._partitioned
@@ -540,13 +465,7 @@ class Network:
             exhausted = self.retransmit_budget_exhausted
             for message in messages:
                 exhausted[message.dest] = exhausted.get(message.dest, 0) + 1
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="retry budget exhausted",
-                    )
+            self._trace_drops(messages, "retry budget exhausted")
             return
         self.retransmissions += 1
         self._attempt_xmit(xid)
@@ -602,13 +521,7 @@ class Network:
         dst = self._nodes.get(messages[0].dest)
         if dst is None or dst.crashed:
             self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="dest down",
-                    )
+            self._trace_drops(messages, "dest down")
             return
         for message in messages:
             dst.deliver(message)
@@ -648,22 +561,18 @@ class Network:
 
     def batching_counts(self) -> dict[str, float]:
         """Flush-policy accounting (EXP-A6 adaptive batching)."""
+        batcher = self.batcher
         counts: dict[str, float] = {
-            "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
+            "size_flushes": batcher.size_flushes if batcher else 0,
+            "deadline_flushes": batcher.deadline_flushes if batcher else 0,
             "purged_batched": self.purged_batched,
         }
-        if self.batch_controller is not None:
-            counts["batch_window_now"] = self.batch_controller.current
-            counts["batch_window_shrinks"] = self.batch_controller.shrinks
-            counts["batch_window_widens"] = self.batch_controller.widens
+        controller = batcher.controller if batcher else None
+        if controller is not None:
+            counts["batch_window_now"] = controller.current
+            counts["batch_window_shrinks"] = controller.shrinks
+            counts["batch_window_widens"] = controller.widens
         return counts
-
-    def make_batch(self, messages: tuple[Message, ...]) -> BatchMessage:
-        """Build an envelope for ``messages`` (validates the link)."""
-        return BatchMessage(
-            sender=messages[0].sender, dest=messages[0].dest, messages=tuple(messages)
-        )
 
     def __repr__(self) -> str:
         return f"<Network nodes={sorted(self._nodes)} sent={self.sent}>"

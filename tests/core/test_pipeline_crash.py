@@ -8,9 +8,9 @@ and message sites -- while a failover peer may already have presumed
 those very transactions aborted from the (empty) decision log.
 
 Now ``CoordinatorPool.crash`` calls ``pipeline.crash()`` (dropping the
-buffers, counted in ``dropped_on_crash``) and ``_flush`` itself refuses
-to run for a crashed GTM, so the only resolution path is the failover
-peer's presumed abort.
+buffers, counted in the batcher's ``dropped``) and the deadline flush
+itself refuses to run for a crashed GTM, so the only resolution path is
+the failover peer's presumed abort.
 """
 
 import zlib
@@ -67,7 +67,7 @@ def test_buffered_decisions_dropped_not_flushed():
 
     # The scenario materialized: decisions were buffered and dropped.
     assert shard.pipeline is not None
-    assert shard.pipeline.dropped_on_crash >= 1
+    assert shard.pipeline.batcher.dropped >= 1
     # No posthumous flush hardened a commit for the dead coordinator.
     assert shard.decision_log.decision_for(name) != "commit"
     assert shard.pipeline.groups_sent == 0
@@ -82,7 +82,7 @@ def test_buffered_decisions_dropped_not_flushed():
 
 
 def test_stale_flush_timer_is_inert_after_crash():
-    """The pre-armed ``_flush`` fires post-crash and must do nothing."""
+    """The pre-armed deadline fires post-crash and must do nothing."""
     fed = build(coordinators=2)
     name = shard1_name(2)
     shard = fed.coordinators[1]
@@ -93,10 +93,10 @@ def test_stale_flush_timer_is_inert_after_crash():
     fed.run()
     assert shard.pipeline.groups_sent == 0
     assert shard.comm.node.crashed
-    # dropped_on_crash counts each buffered per-site decision exactly
+    # The drop count covers each buffered per-site decision exactly
     # once: one per participant site, never recounted by the stale
     # flush timer.
-    assert shard.pipeline.dropped_on_crash == 2
+    assert shard.pipeline.batcher.dropped == 2
 
 
 def test_live_pipeline_still_groups():
@@ -109,4 +109,4 @@ def test_live_pipeline_still_groups():
     fed.run()
     assert all(p.value.committed for p in processes)
     assert fed.gtm.pipeline.groups_sent > 0
-    assert fed.gtm.pipeline.dropped_on_crash == 0
+    assert fed.gtm.pipeline.batcher.dropped == 0

@@ -300,6 +300,16 @@ def test_pool_metrics_aggregate_across_shards():
     assert merged["unresolved_orphans"] == 0
 
 
+def test_pool_metrics_keep_every_gtm_counter():
+    """No hand-kept key list: a sharded pool reports what one GTM does."""
+    fed = build(coordinators=2)
+    pool_only = {
+        "coordinator_crashes", "failovers_started",
+        "submissions_rerouted", "unresolved_orphans",
+    }
+    assert set(fed.pool.metrics()) - pool_only == set(fed.gtm.metrics())
+
+
 def test_is_active_spans_shards_and_adoptions():
     fed = build(coordinators=2)
     name = "G1"

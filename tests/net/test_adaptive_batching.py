@@ -8,7 +8,9 @@ messages.
 
 import pytest
 
-from repro.net.adaptive import AdaptiveWindow
+from repro.core.gtm import GTMConfig
+from repro.integration.federation import Federation, FederationConfig, SiteSpec
+from repro.net.batcher import PATIENCE, AdaptiveWindow, Batcher
 from repro.net.message import Message
 from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
@@ -26,20 +28,54 @@ def ping(dest="a", sender="central", kind="ping"):
     return Message(kind=kind, sender=sender, dest=dest)
 
 
+def layer_batcher(layer: str, kernel):
+    """The Batcher a layer builds from its config (window 4, size cap 2)."""
+    if layer == "network":
+        net = Network(kernel, batch_window=4.0, batch_max_msgs=2)
+        return kernel, net.batcher, ("central", "a")
+    fed = Federation(
+        [SiteSpec("s0", tables={"t0": {"k": 1}}, preparable=True)],
+        FederationConfig(
+            seed=11,
+            gtm=GTMConfig(
+                protocol="2pc", granularity="per_site",
+                pipeline_window=4.0, pipeline_max_group=2,
+            ),
+        ),
+    )
+    return fed.kernel, fed.gtm.pipeline.batcher, "s0"
+
+
+@pytest.mark.parametrize("layer", ["network", "pipeline"])
+def test_both_layers_share_one_batcher(layer, kernel):
+    """Size trigger, deadline, stale-generation no-op and drop counting."""
+    kernel, batcher, key = layer_batcher(layer, kernel)
+    assert isinstance(batcher, Batcher)
+    flushed: list = []
+    batcher._flush = lambda k, items: flushed.append((kernel.now, k, items))
+    start = kernel.now
+
+    batcher.add(key, "a")
+    batcher.add(key, "b")  # size trigger: leaves at once
+    assert flushed == [(start, key, ["a", "b"])]
+    kernel.call_at(start + 1.0, lambda: batcher.add(key, "c"))
+    kernel.run()
+    # The deadline armed for "a" (start + 4) fired stale; "c" waited
+    # out its own window.
+    assert flushed[1:] == [(start + 5.0, key, ["c"])]
+    assert (batcher.size_flushes, batcher.deadline_flushes) == (1, 1)
+
+    batcher.add(key, "d")
+    assert batcher.drop() == ["d"]
+    kernel.run()  # the dropped queue's deadline is inert
+    assert len(flushed) == 2
+    assert batcher.dropped == 1 and batcher.pending == 0
+
+
 class TestAdaptiveWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptiveWindow(0.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, shrink=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, grow=0.5)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, floor=2.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, relief=1.5, pressure=1.5)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, patience=0)
 
     def test_pressure_shrinks_to_floor(self):
         ctl = AdaptiveWindow(8.0)
@@ -71,7 +107,7 @@ class TestAdaptiveWindow:
         # A lone message flushed on deadline waits exactly the current
         # window -- a *streak* of those must read as relief or
         # quiescence never recovers the base window.
-        for _ in range(ctl.patience):
+        for _ in range(PATIENCE):
             ctl.observe(ctl.current)
         assert ctl.current == pytest.approx(2.0)
 
@@ -101,8 +137,8 @@ class TestSizeOrDeadline:
         kernel.run(until=2.0)
         assert net.delivered == 3
         assert net.envelopes == 1
-        assert net.size_flushes == 1
-        assert net.deadline_flushes == 0
+        assert net.batcher.size_flushes == 1
+        assert net.batcher.deadline_flushes == 0
 
     def test_deadline_still_fires_for_partial_batch(self, kernel):
         net, a, _ = make_net(
@@ -114,8 +150,8 @@ class TestSizeOrDeadline:
         kernel.run()
         assert net.delivered == 2
         assert net.envelopes == 1
-        assert net.size_flushes == 0
-        assert net.deadline_flushes == 1
+        assert net.batcher.size_flushes == 0
+        assert net.batcher.deadline_flushes == 1
 
     def test_stale_deadline_after_size_flush_is_inert(self, kernel):
         net, a, _ = make_net(
@@ -139,7 +175,7 @@ class TestLoadSensedWindow:
             kernel, latency=FixedLatency(1.0), batch_window=8.0,
             batch_policy="adaptive",
         )
-        ctl = net.batch_controller
+        ctl = net.batcher.controller
         assert ctl is not None and ctl.current == pytest.approx(8.0)
 
         # Burst: 12 messages spread over each window -> total queueing
@@ -163,7 +199,7 @@ class TestLoadSensedWindow:
 
     def test_adaptive_needs_positive_window(self, kernel):
         net = Network(kernel, batch_policy="adaptive", batch_window=0.0)
-        assert net.batch_controller is None  # batching off: policy inert
+        assert net.batcher is None  # batching off: policy inert
 
     def test_unknown_policy_rejected(self, kernel):
         with pytest.raises(ValueError):
