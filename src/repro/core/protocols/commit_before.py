@@ -37,15 +37,22 @@ class CommitBefore(CommitProtocol):
     requires_prepare = False
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        if ctx.config.granularity == "per_action":
+        if self.per_action(ctx.config):
             yield from self._run_per_action(ctx)
         else:
             yield from self._run_per_site(ctx)
 
+    def per_action(self, config: Any) -> bool:
+        """Does a global transaction run one local per L1 action?
+
+        Recovery must compensate the same locals the run committed.
+        """
+        return config.granularity == "per_action"
+
     # -- coordinator-side recovery: locals are terminal, undo is owed ------
 
     def redrive_obligations(self, recovery, site: str) -> Generator[Any, Any, None]:
-        if recovery.gtm.config.granularity == "per_site":
+        if not self.per_action(recovery.gtm.config):
             yield from recovery._redrive_undos(site)
 
     def on_orphan_reply(self, recovery, message: Any) -> None:
@@ -56,7 +63,7 @@ class CommitBefore(CommitProtocol):
     def adopt_orphan(self, recovery, gtxn: Any) -> Generator[Any, Any, bool]:
         """Presumed abort: unfinished locals abort, durably committed
         effects are compensated by inverse transactions."""
-        if recovery.gtm.config.granularity == "per_action":
+        if self.per_action(recovery.gtm.config):
             settled = yield from recovery._failover_undo_actions(gtxn)
         else:
             settled = yield from recovery._failover_before_site(gtxn)
